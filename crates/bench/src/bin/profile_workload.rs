@@ -72,9 +72,12 @@ fn main() {
         let total = t0.elapsed();
         let events = telemetry::drain();
         let phases = telemetry::span_durations(&events);
-        let candidates = telemetry::global()
-            .registry()
-            .counter_sum("saturation.rule.candidates");
+        let registry = telemetry::global().registry();
+        let candidates = registry.counter_sum("saturation.rule.candidates");
+        // Match waste: how many matches the search materialized against
+        // how many the scheduler actually applied.
+        let matches = registry.counter_sum("saturation.rule.matches");
+        let applied = registry.counter_sum("saturation.rule.applied");
         let saturate = phases.total("optimize.saturate");
         let search = phases.total("saturation.search");
         let apply = phases.total("saturation.apply");
@@ -83,7 +86,7 @@ fn main() {
             .total("optimize.extract.ilp")
             .max(phases.total("optimize.extract.greedy"));
         println!(
-            "{:>5}: total {:>9}  translate {:>9}  saturate {:>9}  [search {:>9}  apply {:>9}  rebuild {:>9}]  extract {:>9}  lower {:>9}  iters {:>3}  candidates {:>7}  nodes {:>6}  stop {:?}",
+            "{:>5}: total {:>9}  translate {:>9}  saturate {:>9}  [search {:>9}  apply {:>9}  rebuild {:>9}]  extract {:>9}  lower {:>9}  iters {:>3}  candidates {:>7}  matches {:>8}  applied {:>6}  nodes {:>6}  stop {:?}",
             w.name,
             fmt(total),
             fmt(phases.total("optimize.translate")),
@@ -95,12 +98,19 @@ fn main() {
             fmt(phases.total("optimize.lower")),
             phases.count("saturation.iter"),
             candidates,
+            matches,
+            applied,
             opt.saturation.e_nodes,
             opt.saturation.stop_reason,
         );
         assert_eq!(
             candidates as usize, opt.saturation.candidates_visited,
             "{}: per-rule candidate counters must sum to SaturationStats.candidates_visited",
+            w.name
+        );
+        assert_eq!(
+            matches as usize, opt.saturation.matches_found,
+            "{}: per-rule match counters must sum to SaturationStats.matches_found",
             w.name
         );
         all_events.extend(events);

@@ -117,7 +117,8 @@ pub struct SaturationStats {
     /// rules and iterations (the classes the matcher actually visited;
     /// without the index this would be rules × iterations × classes).
     pub candidates_visited: usize,
-    /// Total (class, subst) match instances found across the run.
+    /// Total match rows (one per distinct (root class, binding)) found
+    /// across the run.
     pub matches_found: usize,
     /// Workload mode: total (region, iteration) pairs during which a
     /// statement's region sat frozen (0 for single-statement runs or

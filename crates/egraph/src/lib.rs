@@ -9,7 +9,7 @@
 //!   §3.2 (schema, sparsity, constant folding in `spores-core`).
 //! * [`Pattern`] / [`Rewrite`] — s-expression patterns compiled to flat
 //!   match programs, op-head-indexed e-matching (only candidate classes
-//!   are visited), conditional rewrites.
+//!   are visited) into flat [`MatchRows`], conditional rewrites.
 //! * [`Runner`] — the saturation loop with iteration/node/time limits and
 //!   the two match-application strategies of §3.1: depth-first and
 //!   sampling.
@@ -36,7 +36,7 @@ pub use egraph::{audit_enabled, set_rebuild_audit, EClass, EGraph};
 pub use extract::{AstSize, CostFunction, Extractor};
 pub use hash::{FxHashMap, FxHashSet};
 pub use language::{parse_rec_expr, Id, Language, OpKey, RecExpr};
-pub use pattern::{ENodeOrVar, Pattern, SearchMatches, Subst, Var};
+pub use pattern::{ENodeOrVar, MatchRows, Pattern, SearchMatches, Subst, Var};
 pub use relational::{MatchingMode, RelIndex, SlotKey};
 pub use rewrite::{
     check_unique_names, Applier, Condition, ConditionMeta, DeclaredCondition, PatternSide, Rewrite,

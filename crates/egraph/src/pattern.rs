@@ -3,6 +3,18 @@
 //! A pattern is a term with holes (`?a`, `?b`, …). Searching matches the
 //! pattern against every e-class (the `match` of Figure 8 in the paper);
 //! applying instantiates the pattern under a substitution and inserts it.
+//!
+//! Both compiled backends (the structural bind/compare machine here and
+//! the relational plans in [`crate::relational`]) write matches as flat
+//! [`MatchRows`]: one row of e-class ids per match, one id per pattern
+//! variable in the pattern's sorted [`Pattern::row_vars`] order, plus
+//! the row's root class. Within a class rows are sorted and
+//! deduplicated, so the buffer is already in the canonical order the
+//! saturation driver samples from. A [`Subst`] is only built for a row
+//! that is actually applied ([`Pattern::row_subst`]); the
+//! [`SearchMatches`] views returned by `search*` are built from rows for
+//! tests and callers that want per-class substitution lists, and
+//! [`Pattern::naive_search`] stays the interpreted oracle.
 
 use crate::analysis::Analysis;
 use crate::egraph::EGraph;
@@ -60,6 +72,16 @@ impl Subst {
     /// Canonical ordering so equal substitutions compare equal.
     fn normalize(&mut self) {
         self.vec.sort_unstable();
+    }
+
+    /// Overwrite with the bindings of one match row (`vars` sorted, as
+    /// [`Pattern::row_vars`]), reusing the allocation. The result is
+    /// already in canonical order.
+    pub(crate) fn refill(&mut self, vars: &[Var], row: &[Id]) {
+        debug_assert_eq!(vars.len(), row.len());
+        self.vec.clear();
+        self.vec
+            .extend(vars.iter().copied().zip(row.iter().copied()));
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (Var, Id)> + '_ {
@@ -132,6 +154,160 @@ impl<L: Language> Language for ENodeOrVar<L> {
     }
 }
 
+/// One sweep's matches of one pattern, flattened.
+///
+/// Each match is one *row* of `width` e-class ids — the binding of every
+/// pattern variable, in the pattern's sorted [`Pattern::row_vars`]
+/// order — stored back to back in a single `Vec<Id>`, with the row's
+/// root class in a parallel vector. Rows of one class are contiguous,
+/// sorted, and deduplicated (the order per-class substitution lists
+/// used to be normalized to), and classes appear in the order the sweep
+/// visited them: ascending ids for every search entry point and for the
+/// merged output of [`crate::search_rules_parallel`].
+///
+/// A ground (zero-variable) pattern has width 0: its rows are empty and
+/// deduplication leaves at most one row per class.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MatchRows {
+    width: usize,
+    ids: Vec<Id>,
+    row_class: Vec<Id>,
+}
+
+/// Scratch buffers for sorting one class's rows, reused across a sweep.
+#[derive(Default)]
+struct RowSorter {
+    order: Vec<u32>,
+    tmp: Vec<Id>,
+}
+
+impl MatchRows {
+    /// An empty buffer for rows of `width` ids.
+    pub fn new(width: usize) -> MatchRows {
+        MatchRows {
+            width,
+            ids: Vec::new(),
+            row_class: Vec::new(),
+        }
+    }
+
+    /// Ids per row (the pattern's variable count).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows (matches).
+    pub fn len(&self) -> usize {
+        self.row_class.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.row_class.is_empty()
+    }
+
+    /// The bindings of row `i`, in [`Pattern::row_vars`] order.
+    pub fn row(&self, i: usize) -> &[Id] {
+        &self.ids[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The root class of row `i`.
+    pub fn class(&self, i: usize) -> Id {
+        self.row_class[i]
+    }
+
+    /// Maximal runs of rows sharing a root class, as `(class, rows)`.
+    pub fn runs(&self) -> impl Iterator<Item = (Id, std::ops::Range<usize>)> + '_ {
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let &class = self.row_class.get(start)?;
+            let len = self.row_class[start..]
+                .iter()
+                .take_while(|&&c| c == class)
+                .count();
+            let range = start..start + len;
+            start = range.end;
+            Some((class, range))
+        })
+    }
+
+    /// Append one row rooted at `class`.
+    pub(crate) fn push(&mut self, class: Id, row: impl Iterator<Item = Id>) {
+        self.ids.extend(row);
+        self.row_class.push(class);
+        debug_assert_eq!(self.ids.len(), self.row_class.len() * self.width);
+    }
+
+    /// Sort and deduplicate the rows from `start` on — one class's
+    /// output. Most classes yield at most one row, or rows already in
+    /// ascending order, and skip the sort.
+    fn finish_class(&mut self, start: usize, sorter: &mut RowSorter) {
+        let n = self.len() - start;
+        if n < 2 {
+            return;
+        }
+        let w = self.width;
+        if w == 0 {
+            self.row_class.truncate(start + 1);
+            return;
+        }
+        let base = start * w;
+        let rows = &self.ids[base..];
+        if rows
+            .chunks_exact(w)
+            .zip(rows[w..].chunks_exact(w))
+            .all(|(a, b)| a < b)
+        {
+            return;
+        }
+        let row = |i: u32| &rows[i as usize * w..][..w];
+        sorter.order.clear();
+        sorter.order.extend(0..n as u32);
+        sorter.order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        sorter.order.dedup_by(|a, b| row(*a) == row(*b));
+        sorter.tmp.clear();
+        for &i in &sorter.order {
+            sorter.tmp.extend_from_slice(row(i));
+        }
+        self.ids.truncate(base);
+        self.ids.extend_from_slice(&sorter.tmp);
+        self.row_class.truncate(start + sorter.order.len());
+    }
+
+    /// Merge per-shard buffers of one rule into ascending class order.
+    /// Each part must be in ascending class order and no class may
+    /// appear in two parts (shards partition the candidate list), so
+    /// the result is exactly the unsharded sweep's buffer however the
+    /// candidates were split — contiguous id ranges or region groups.
+    pub fn merge_by_class(width: usize, parts: Vec<MatchRows>) -> MatchRows {
+        let mut parts: Vec<MatchRows> = parts.into_iter().filter(|p| !p.is_empty()).collect();
+        match parts.len() {
+            0 => return MatchRows::new(width),
+            1 => return parts.pop().expect("one part"),
+            _ => {}
+        }
+        let total = parts.iter().map(MatchRows::len).sum();
+        let mut out = MatchRows {
+            width,
+            ids: Vec::with_capacity(total * width),
+            row_class: Vec::with_capacity(total),
+        };
+        let mut heads: Vec<_> = parts.iter().map(|p| p.runs().peekable()).collect();
+        loop {
+            let next = (0..heads.len())
+                .filter_map(|p| heads[p].peek().map(|&(class, _)| (class, p)))
+                .min();
+            let Some((_, p)) = next else { break };
+            let (class, range) = heads[p].next().expect("peeked run");
+            debug_assert!(out.row_class.last().is_none_or(|&c| c < class));
+            out.ids
+                .extend_from_slice(&parts[p].ids[range.start * width..range.end * width]);
+            out.row_class
+                .extend(std::iter::repeat_n(class, range.len()));
+        }
+        out
+    }
+}
+
 /// One instruction of the compiled pattern machine. Registers hold
 /// e-class ids; `Bind` is the only backtracking point.
 #[derive(Clone, Debug)]
@@ -153,9 +329,17 @@ enum Insn<L> {
 #[derive(Clone, Debug)]
 struct Program<L> {
     insns: Vec<Insn<L>>,
-    /// Register holding each pattern variable's binding, in first-occurrence order.
-    subst_regs: Vec<(Var, usize)>,
+    /// Register holding each pattern variable's binding, in sorted
+    /// variable order (the column order of a match row).
+    row_regs: Vec<usize>,
     n_regs: usize,
+}
+
+/// Sort `(var, register)` bindings by variable and keep the registers:
+/// the column order of a match row.
+pub(crate) fn row_registers(mut bindings: Vec<(Var, usize)>) -> Vec<usize> {
+    bindings.sort_unstable_by_key(|&(v, _)| v);
+    bindings.into_iter().map(|(_, r)| r).collect()
 }
 
 impl<L: Language> Program<L> {
@@ -189,33 +373,22 @@ impl<L: Language> Program<L> {
         }
         Program {
             insns,
-            subst_regs,
+            row_regs: row_registers(subst_regs),
             n_regs,
         }
     }
 
     /// Run the program with `eclass` (canonical) in the root register,
-    /// collecting one [`Subst`] per successful execution path.
-    fn run<A: Analysis<L>>(&self, egraph: &EGraph<L, A>, eclass: Id) -> Vec<Subst> {
-        let mut regs = Vec::new();
-        let mut out = Vec::new();
-        self.run_into(egraph, eclass, &mut regs, &mut out);
-        out
-    }
-
-    /// Like [`Program::run`], but reusing caller-provided scratch
-    /// buffers: the search loop visits thousands of candidate classes
-    /// per iteration and most produce no match, so allocating a fresh
-    /// register file (and output vector) per class dominates the cheap
-    /// executions. `out` must be empty on entry; matches are appended.
-    fn run_into<A: Analysis<L>>(
+    /// appending one row per successful execution path to `out`. `regs`
+    /// is scratch reused across the sweep: most candidates produce no
+    /// match, and those executions must not pay any allocation.
+    fn run<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
         eclass: Id,
         regs: &mut Vec<Id>,
-        out: &mut Vec<Subst>,
+        out: &mut MatchRows,
     ) {
-        debug_assert!(out.is_empty());
         regs.clear();
         regs.resize(self.n_regs, eclass);
         self.exec(egraph, 0, regs, out);
@@ -226,14 +399,10 @@ impl<L: Language> Program<L> {
         egraph: &EGraph<L, A>,
         pc: usize,
         regs: &mut [Id],
-        out: &mut Vec<Subst>,
+        out: &mut MatchRows,
     ) {
         let Some(insn) = self.insns.get(pc) else {
-            let mut subst = Subst::default();
-            for &(var, reg) in &self.subst_regs {
-                subst.insert(var, regs[reg]);
-            }
-            out.push(subst);
+            out.push(regs[0], self.row_regs.iter().map(|&r| regs[r]));
             return;
         };
         match insn {
@@ -264,11 +433,12 @@ impl<L: Language> Program<L> {
     }
 }
 
-/// A compiled pattern: the s-expression AST plus its lowered [`Program`].
+/// A compiled pattern: the s-expression AST plus what is derived from it
+/// (both matcher lowerings and the row column order).
 ///
-/// Both fields are private so they cannot drift apart: the only way to
+/// The fields are private so they cannot drift apart: the only way to
 /// build a `Pattern` is [`Pattern::new`]/[`Pattern::parse`], which
-/// compile the program from the AST.
+/// derive everything else from the AST.
 #[derive(Clone, Debug)]
 pub struct Pattern<L> {
     ast: RecExpr<ENodeOrVar<L>>,
@@ -276,9 +446,12 @@ pub struct Pattern<L> {
     /// The same pattern lowered for the relational (generic-join)
     /// backend; which lowering runs is the caller's [`MatchingMode`].
     relational: RelQuery<L>,
+    /// The pattern's variables, sorted: the column order of its rows.
+    row_vars: Vec<Var>,
 }
 
-/// All matches of a pattern inside one e-class.
+/// All matches of a pattern inside one e-class: a per-class view of
+/// [`MatchRows`], with one [`Subst`] per row.
 #[derive(Clone, Debug)]
 pub struct SearchMatches {
     pub eclass: Id,
@@ -289,10 +462,21 @@ impl<L: Language> Pattern<L> {
     pub fn new(ast: RecExpr<ENodeOrVar<L>>) -> Self {
         let program = Program::compile(&ast);
         let relational = RelQuery::compile(&ast);
+        let mut row_vars: Vec<Var> = ast
+            .nodes()
+            .iter()
+            .filter_map(|n| match n {
+                ENodeOrVar::Var(v) => Some(*v),
+                ENodeOrVar::ENode(_) => None,
+            })
+            .collect();
+        row_vars.sort_unstable();
+        row_vars.dedup();
         Pattern {
             ast,
             program,
             relational,
+            row_vars,
         }
     }
 
@@ -322,6 +506,29 @@ impl<L: Language> Pattern<L> {
         vars
     }
 
+    /// The pattern's variables in sorted order: the column order of the
+    /// [`MatchRows`] its searches produce.
+    pub fn row_vars(&self) -> &[Var] {
+        &self.row_vars
+    }
+
+    /// The substitution a match row stands for.
+    pub fn row_subst(&self, row: &[Id]) -> Subst {
+        let mut subst = Subst::default();
+        subst.refill(&self.row_vars, row);
+        subst
+    }
+
+    /// Per-class [`SearchMatches`] views of a row buffer, in row order.
+    pub fn matches_from_rows(&self, rows: &MatchRows) -> Vec<SearchMatches> {
+        rows.runs()
+            .map(|(eclass, range)| SearchMatches {
+                eclass,
+                substs: range.map(|i| self.row_subst(rows.row(i))).collect(),
+            })
+            .collect()
+    }
+
     /// The candidate classes the op-head index yields for this pattern:
     /// classes containing a node with the pattern root's head, or every
     /// class when the root is a variable. Sorted (deterministic order).
@@ -346,7 +553,7 @@ impl<L: Language> Pattern<L> {
     ) -> (Vec<SearchMatches>, usize) {
         debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
         let candidates = self.candidates(egraph);
-        self.search_candidates(egraph, candidates.iter().copied())
+        self.search_ids_with_stats(egraph, &candidates)
     }
 
     /// Delta search: like [`Pattern::search_with_stats`] but restricted
@@ -430,14 +637,8 @@ impl<L: Language> Pattern<L> {
         excluded: &crate::hash::FxHashSet<Id>,
     ) -> (Vec<SearchMatches>, usize) {
         debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        let candidates = self.candidates(egraph);
-        self.search_candidates(
-            egraph,
-            candidates
-                .iter()
-                .copied()
-                .filter(|id| !excluded.contains(id)),
-        )
+        let ids = self.except_candidate_ids(egraph, excluded);
+        self.search_ids_with_stats(egraph, &ids)
     }
 
     /// The exact candidate list a frozen-filtered full sweep visits
@@ -470,24 +671,19 @@ impl<L: Language> Pattern<L> {
         egraph: &EGraph<L, A>,
         ids: &[Id],
     ) -> (Vec<SearchMatches>, usize) {
-        self.search_candidates(egraph, ids.iter().copied())
+        self.search_ids_with_stats_mode(egraph, ids, MatchingMode::Structural)
     }
 
-    /// [`Pattern::search_ids_with_stats`] with an explicit backend —
-    /// the funnel the saturation driver's search phase goes through.
-    /// Both modes visit exactly the ids given (identical `visited`
-    /// counts) and return bit-identical matches; see
-    /// `tests/proptest_relational.rs`.
+    /// [`Pattern::search_ids_with_stats`] with an explicit backend,
+    /// as per-class views of [`Pattern::search_rows`].
     pub fn search_ids_with_stats_mode<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
         ids: &[Id],
         mode: MatchingMode,
     ) -> (Vec<SearchMatches>, usize) {
-        match mode {
-            MatchingMode::Structural => self.search_candidates(egraph, ids.iter().copied()),
-            MatchingMode::Relational => self.search_candidates_relational(egraph, ids),
-        }
+        let (rows, visited) = self.search_rows(egraph, ids, mode);
+        (self.matches_from_rows(&rows), visited)
     }
 
     /// Full sweep on the relational backend (the generic-join analogue
@@ -504,95 +700,69 @@ impl<L: Language> Pattern<L> {
     ) -> (Vec<SearchMatches>, usize) {
         debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
         let candidates = self.candidates(egraph);
-        self.search_candidates_relational(egraph, &candidates)
+        self.search_ids_with_stats_mode(egraph, &candidates, MatchingMode::Relational)
     }
 
-    /// The relational twin of [`Pattern::search_candidates`]: build one
-    /// generic-join plan for the sweep (the candidate count picks lazy
-    /// vs eager guard columns), then run it per candidate with the same
-    /// visited accounting, scratch reuse, and `finish_matches`
-    /// normalization. A plan with an empty guard column proves no
-    /// candidate can match: the executor returns immediately, but every
-    /// id still counts as visited — `candidates_visited` must stay
-    /// comparable across modes.
-    fn search_candidates_relational<A: Analysis<L>>(
+    /// The search funnel every entry point and the saturation driver go
+    /// through: run the chosen backend over `ids` (canonical, on a clean
+    /// graph) and return the matches as rows, with how many candidates
+    /// were visited — always `ids.len()`, in both modes, so
+    /// `candidates_visited` stays comparable across modes. Both
+    /// backends return bit-identical rows; see
+    /// `tests/proptest_relational.rs`.
+    pub fn search_rows<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
         ids: &[Id],
-    ) -> (Vec<SearchMatches>, usize) {
+        mode: MatchingMode,
+    ) -> (MatchRows, usize) {
         debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        // Adaptive planning: sweeps too small to amortize per-sweep
-        // selectivity planning run the query's precompiled static plan.
-        // Purely a cost decision — both paths accept identical bindings
-        // (see `relational::PLANNED_SWEEP_MIN`).
-        let plan = if ids.len() >= crate::relational::PLANNED_SWEEP_MIN {
-            let plan = RelPlan::build(&self.relational, egraph, ids.len());
-            if plan.is_impossible() {
-                return (Vec::new(), ids.len());
-            }
-            Some(plan)
-        } else {
-            // Semi-join precheck against the index columns: an
-            // inapplicable pattern skips the sweep after O(#atoms) hash
-            // lookups, while still reporting every candidate as visited.
-            if self.relational.sweep_is_impossible(egraph) {
-                return (Vec::new(), ids.len());
-            }
-            None
-        };
-        let mut visited = 0;
-        let mut matches = Vec::new();
+        let mut out = MatchRows::new(self.row_vars.len());
         let mut regs: Vec<Id> = Vec::new();
-        let mut raw: Vec<Subst> = Vec::new();
-        for &id in ids {
-            visited += 1;
-            debug_assert_eq!(id, egraph.find(id), "candidate ids are canonical");
-            match &plan {
-                Some(plan) => plan.run_into(egraph, id, &mut regs, &mut raw),
-                None => self
-                    .relational
-                    .run_static_into(egraph, id, &mut regs, &mut raw),
+        let mut sorter = RowSorter::default();
+        match mode {
+            MatchingMode::Structural => {
+                for &id in ids {
+                    debug_assert_eq!(id, egraph.find(id), "candidate ids are canonical");
+                    let start = out.len();
+                    self.program.run(egraph, id, &mut regs, &mut out);
+                    out.finish_class(start, &mut sorter);
+                }
             }
-            if raw.is_empty() {
-                continue;
-            }
-            if let Some(m) = Self::finish_matches(id, std::mem::take(&mut raw)) {
-                matches.push(m);
+            MatchingMode::Relational => {
+                // Adaptive planning: sweeps too small to amortize
+                // per-sweep selectivity planning run the query's
+                // precompiled static plan. Purely a cost decision — both
+                // paths accept identical bindings (see
+                // `relational::PLANNED_SWEEP_MIN`).
+                let plan = if ids.len() >= crate::relational::PLANNED_SWEEP_MIN {
+                    let plan = RelPlan::build(&self.relational, egraph, ids.len());
+                    if plan.is_impossible() {
+                        return (out, ids.len());
+                    }
+                    Some(plan)
+                } else {
+                    // Semi-join precheck against the index columns: an
+                    // inapplicable pattern skips the sweep after
+                    // O(#atoms) hash lookups, while still reporting
+                    // every candidate as visited.
+                    if self.relational.sweep_is_impossible(egraph) {
+                        return (out, ids.len());
+                    }
+                    None
+                };
+                for &id in ids {
+                    debug_assert_eq!(id, egraph.find(id), "candidate ids are canonical");
+                    let start = out.len();
+                    match &plan {
+                        Some(plan) => plan.run(egraph, id, &mut regs, &mut out),
+                        None => self.relational.run_static(egraph, id, &mut regs, &mut out),
+                    }
+                    out.finish_class(start, &mut sorter);
+                }
             }
         }
-        (matches, visited)
-    }
-
-    /// Run the compiled machine over `candidates`, reporting the matches
-    /// and how many classes were visited. All search entry points funnel
-    /// through here so `visited` counts identically in full, delta, and
-    /// frozen-filtered sweeps (satellite: `candidates_visited` stays
-    /// comparable across modes).
-    fn search_candidates<A: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, A>,
-        candidates: impl Iterator<Item = Id>,
-    ) -> (Vec<SearchMatches>, usize) {
-        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        let mut visited = 0;
-        let mut matches = Vec::new();
-        // One register file and one raw-subst buffer for the whole
-        // sweep: most candidates produce no match, and those executions
-        // must not pay any allocation.
-        let mut regs: Vec<Id> = Vec::new();
-        let mut raw: Vec<Subst> = Vec::new();
-        for id in candidates {
-            visited += 1;
-            debug_assert_eq!(id, egraph.find(id), "candidate ids are canonical");
-            self.program.run_into(egraph, id, &mut regs, &mut raw);
-            if raw.is_empty() {
-                continue;
-            }
-            if let Some(m) = Self::finish_matches(id, std::mem::take(&mut raw)) {
-                matches.push(m);
-            }
-        }
-        (matches, visited)
+        (out, ids.len())
     }
 
     /// Search one e-class for matches by executing the compiled program.
@@ -603,10 +773,9 @@ impl<L: Language> Pattern<L> {
         egraph: &EGraph<L, A>,
         eclass: Id,
     ) -> Option<SearchMatches> {
-        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
         let eclass = egraph.find(eclass);
-        let substs = self.program.run(egraph, eclass);
-        Self::finish_matches(eclass, substs)
+        let (rows, _) = self.search_rows(egraph, &[eclass], MatchingMode::Structural);
+        self.matches_from_rows(&rows).pop()
     }
 
     /// Search every e-class with the interpreted matcher — the reference
@@ -624,20 +793,15 @@ impl<L: Language> Pattern<L> {
     }
 
     /// Search one e-class by interpreting the pattern AST (see
-    /// [`Pattern::naive_search`]).
+    /// [`Pattern::naive_search`]). Substitutions are normalized, sorted
+    /// and deduplicated, so they compare equal to the compiled
+    /// backends' rows.
     pub fn naive_search_eclass<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
         eclass: Id,
     ) -> Option<SearchMatches> {
-        let substs = self.match_id(egraph, self.ast.root(), eclass, Subst::default());
-        Self::finish_matches(egraph.find(eclass), substs)
-    }
-
-    /// Normalize, order, and dedup raw substitutions into a
-    /// [`SearchMatches`] (shared by both matchers so their outputs are
-    /// directly comparable).
-    fn finish_matches(eclass: Id, mut substs: Vec<Subst>) -> Option<SearchMatches> {
+        let mut substs = self.match_id(egraph, self.ast.root(), eclass, Subst::default());
         for s in &mut substs {
             s.normalize();
         }
@@ -646,7 +810,10 @@ impl<L: Language> Pattern<L> {
         if substs.is_empty() {
             None
         } else {
-            Some(SearchMatches { eclass, substs })
+            Some(SearchMatches {
+                eclass: egraph.find(eclass),
+                substs,
+            })
         }
     }
 
@@ -928,6 +1095,50 @@ mod tests {
             }
             assert!(candidates <= eg.number_of_classes(), "pattern {p}");
         }
+    }
+
+    fn ids(v: &[usize]) -> Vec<Id> {
+        v.iter().map(|&i| Id::from(i)).collect()
+    }
+
+    #[test]
+    fn rows_are_sorted_and_deduplicated_per_class() {
+        let mut sorter = RowSorter::default();
+        let mut rows = MatchRows::new(2);
+        let c = Id::from(7usize);
+        for r in [[3, 1], [1, 2], [3, 1], [1, 0]] {
+            rows.push(c, ids(&r).into_iter());
+        }
+        rows.finish_class(0, &mut sorter);
+        assert_eq!(rows.len(), 3);
+        let got: Vec<&[Id]> = (0..rows.len()).map(|i| rows.row(i)).collect();
+        assert_eq!(got, vec![&ids(&[1, 0])[..], &ids(&[1, 2]), &ids(&[3, 1])]);
+        // width 0 (ground pattern): every row is the empty row, so one
+        // survives per class
+        let mut ground = MatchRows::new(0);
+        for _ in 0..3 {
+            ground.push(c, std::iter::empty());
+        }
+        ground.finish_class(0, &mut sorter);
+        assert_eq!(ground.len(), 1);
+        assert_eq!(ground.runs().collect::<Vec<_>>(), vec![(c, 0..1)]);
+    }
+
+    #[test]
+    fn merge_by_class_interleaves_shards() {
+        // Region-grouped shards are ascending inside but interleave
+        // across each other; the merge restores one ascending stream.
+        let shard = |classes: &[usize]| {
+            let mut rows = MatchRows::new(1);
+            for &c in classes {
+                rows.push(Id::from(c), ids(&[c * 10]).into_iter());
+                rows.push(Id::from(c), ids(&[c * 10 + 1]).into_iter());
+            }
+            rows
+        };
+        let merged = MatchRows::merge_by_class(1, vec![shard(&[2, 9]), shard(&[]), shard(&[1, 5])]);
+        assert_eq!(merged, shard(&[1, 2, 5, 9]));
+        assert_eq!(MatchRows::merge_by_class(3, Vec::new()), MatchRows::new(3));
     }
 
     #[test]

@@ -31,11 +31,12 @@
 //!   lookups and merges would cost more than the sweep itself.
 //!
 //! The plan's match *results* are bit-identical to the structural
-//! machine's ([`crate::Pattern::search_ids_with_stats`]): guards are
-//! necessary conditions (`matches ⟹ op_key equal ⟹ head-column
-//! membership`), every surviving binding is still verified by scanning
-//! the class's nodes, and the shared `finish_matches` normalization
-//! makes per-class substitution sets order-insensitive. Which backend
+//! machine's ([`crate::Pattern::search_rows`]): guards are necessary
+//! conditions (`matches ⟹ op_key equal ⟹ head-column membership`),
+//! every surviving binding is still verified by scanning the class's
+//! nodes, rows use the same sorted-variable column order, and the
+//! shared per-class row sort makes the output order-insensitive to the
+//! plan's scan order. Which backend
 //! runs is picked by [`MatchingMode`], threaded from
 //! `OptimizerConfig.matching` through the runner's search funnel.
 
@@ -43,7 +44,7 @@ use crate::analysis::Analysis;
 use crate::egraph::EGraph;
 use crate::hash::FxHashMap;
 use crate::language::{Id, Language, OpKey, RecExpr};
-use crate::pattern::{ENodeOrVar, Subst, Var};
+use crate::pattern::{row_registers, ENodeOrVar, MatchRows, Var};
 use crate::unionfind::UnionFind;
 use std::collections::VecDeque;
 
@@ -220,8 +221,8 @@ pub(crate) struct RelQuery<L> {
     /// lookups, selectivity estimates, guard merges) costs more than it
     /// saves below [`PLANNED_SWEEP_MIN`] candidates.
     static_insns: Vec<RelInsn<L>>,
-    /// Variable → binding register for the static plan.
-    static_subst_regs: Vec<(Var, usize)>,
+    /// Binding register of each row column for the static plan.
+    static_row_regs: Vec<usize>,
 }
 
 /// BFS worklist entry of [`RelQuery::compile`]: pattern node, its
@@ -263,35 +264,34 @@ impl<L: Language> RelQuery<L> {
                 }
             }
         }
-        let (static_insns, static_subst_regs) = emit_plan(&atoms, &var_occ, n_regs, None);
+        let (static_insns, static_row_regs) = emit_plan(&atoms, &var_occ, n_regs, None);
         RelQuery {
             atoms,
             var_occ,
             n_regs,
             static_insns,
-            static_subst_regs,
+            static_row_regs,
         }
     }
 
     /// Execute the precompiled static plan with `eclass` (canonical) as
     /// the candidate root. Same scratch-buffer contract as
-    /// [`RelPlan::run_into`]; bit-identical results to the planned path
-    /// (plan shape only affects the work done, never the match set —
-    /// `finish_matches` normalizes substitution order downstream).
-    pub(crate) fn run_static_into<A: Analysis<L>>(
+    /// [`RelPlan::run`]; bit-identical results to the planned path (plan
+    /// shape only affects the work done, never the match set — the
+    /// search funnel sorts each class's rows downstream).
+    pub(crate) fn run_static<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
         eclass: Id,
         regs: &mut Vec<Id>,
-        out: &mut Vec<Subst>,
+        out: &mut MatchRows,
     ) {
-        debug_assert!(out.is_empty());
         regs.clear();
         regs.resize(self.n_regs, eclass);
         exec(
             &self.static_insns,
             &[],
-            &self.static_subst_regs,
+            &self.static_row_regs,
             egraph,
             0,
             regs,
@@ -327,16 +327,16 @@ impl<L: Language> RelQuery<L> {
 /// visited in ascending selectivity order and a `Guard` precedes every
 /// descent (the planned generic join); with `None`, children stay in
 /// slot order and no guards are emitted (the static plan). Returns the
-/// instructions and each variable's binding register (its first
-/// occurrence in execution order — later occurrences are
-/// `Compare`-checked equal, so any of them would produce the same
-/// substitution).
+/// instructions and, in row column (sorted variable) order, each
+/// variable's binding register (its first occurrence in execution order
+/// — later occurrences are `Compare`-checked equal, so any of them
+/// would produce the same row).
 fn emit_plan<L: Language>(
     atoms: &[RelAtom<L>],
     var_occ: &[(Var, Vec<usize>)],
     n_regs: usize,
     guarded: Option<(&[usize], &[Option<usize>])>,
-) -> (Vec<RelInsn<L>>, Vec<(Var, usize)>) {
+) -> (Vec<RelInsn<L>>, Vec<usize>) {
     let mut insns: Vec<RelInsn<L>> = Vec::new();
     let mut first_bound: Vec<Option<usize>> = vec![None; var_occ.len()];
     // reg → index into var_occ, for occurrence registers only.
@@ -389,7 +389,7 @@ fn emit_plan<L: Language>(
             }
         }
     }
-    let subst_regs = var_occ
+    let bindings = var_occ
         .iter()
         .enumerate()
         .map(|(vi, (var, _))| {
@@ -399,7 +399,7 @@ fn emit_plan<L: Language>(
             )
         })
         .collect();
-    (insns, subst_regs)
+    (insns, row_registers(bindings))
 }
 
 /// A guard column of an instantiated plan: either the op-head column
@@ -472,10 +472,11 @@ pub(crate) const PLANNED_SWEEP_MIN: usize = 32;
 pub(crate) struct RelPlan<'g, L> {
     insns: Vec<RelInsn<L>>,
     guards: Vec<GuardCol<'g>>,
-    /// Register holding each variable's binding (its first occurrence
-    /// in execution order — later occurrences are `Compare`-checked
-    /// equal, so any of them would produce the same substitution).
-    subst_regs: Vec<(Var, usize)>,
+    /// Register holding each row column's binding (its variable's first
+    /// occurrence in execution order — later occurrences are
+    /// `Compare`-checked equal, so any of them would produce the same
+    /// row).
+    row_regs: Vec<usize>,
     n_regs: usize,
     /// Some guard is provably empty: no candidate anywhere can match,
     /// so execution is skipped for the whole sweep (visited counts are
@@ -536,7 +537,7 @@ impl<'g, L: Language> RelPlan<'g, L> {
         // repeated variables are `Compare`d and every child atom's
         // guard is checked before any descent — fail-fast on cheap
         // filters.
-        let (insns, subst_regs) = emit_plan(
+        let (insns, row_regs) = emit_plan(
             &query.atoms,
             &query.var_occ,
             query.n_regs,
@@ -545,7 +546,7 @@ impl<'g, L: Language> RelPlan<'g, L> {
         RelPlan {
             insns,
             guards,
-            subst_regs,
+            row_regs,
             n_regs: query.n_regs,
             impossible,
         }
@@ -559,17 +560,16 @@ impl<'g, L: Language> RelPlan<'g, L> {
     }
 
     /// Run the plan with `eclass` (canonical) as the candidate root,
-    /// appending one [`Subst`] per successful join path to `out`.
+    /// appending one row per successful join path to `out`.
     /// Scratch-buffer contract identical to the structural
-    /// `Program::run_into`.
-    pub(crate) fn run_into<A: Analysis<L>>(
+    /// `Program::run`.
+    pub(crate) fn run<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
         eclass: Id,
         regs: &mut Vec<Id>,
-        out: &mut Vec<Subst>,
+        out: &mut MatchRows,
     ) {
-        debug_assert!(out.is_empty());
         if self.impossible {
             return;
         }
@@ -578,7 +578,7 @@ impl<'g, L: Language> RelPlan<'g, L> {
         exec(
             &self.insns,
             &self.guards,
-            &self.subst_regs,
+            &self.row_regs,
             egraph,
             0,
             regs,
@@ -593,18 +593,14 @@ impl<'g, L: Language> RelPlan<'g, L> {
 fn exec<L: Language, A: Analysis<L>>(
     insns: &[RelInsn<L>],
     guards: &[GuardCol<'_>],
-    subst_regs: &[(Var, usize)],
+    row_regs: &[usize],
     egraph: &EGraph<L, A>,
     pc: usize,
     regs: &mut [Id],
-    out: &mut Vec<Subst>,
+    out: &mut MatchRows,
 ) {
     let Some(insn) = insns.get(pc) else {
-        let mut subst = Subst::default();
-        for &(var, reg) in subst_regs {
-            subst.insert(var, regs[reg]);
-        }
-        out.push(subst);
+        out.push(regs[0], row_regs.iter().map(|&r| regs[r]));
         return;
     };
     match insn {
@@ -617,17 +613,17 @@ fn exec<L: Language, A: Analysis<L>>(
                 }
                 debug_assert_eq!(enode.children().len(), arity);
                 regs[*o..*o + arity].copy_from_slice(enode.children());
-                exec(insns, guards, subst_regs, egraph, pc + 1, regs, out);
+                exec(insns, guards, row_regs, egraph, pc + 1, regs, out);
             }
         }
         RelInsn::Compare { a, b } => {
             if regs[*a] == regs[*b] {
-                exec(insns, guards, subst_regs, egraph, pc + 1, regs, out);
+                exec(insns, guards, row_regs, egraph, pc + 1, regs, out);
             }
         }
         RelInsn::Guard { reg, col } => {
             if guards[*col].as_slice().binary_search(&regs[*reg]).is_ok() {
-                exec(insns, guards, subst_regs, egraph, pc + 1, regs, out);
+                exec(insns, guards, row_regs, egraph, pc + 1, regs, out);
             }
         }
     }

@@ -16,7 +16,7 @@
 use crate::analysis::Analysis;
 use crate::egraph::EGraph;
 use crate::language::{Id, Language};
-use crate::pattern::{Pattern, SearchMatches, Subst, Var};
+use crate::pattern::{MatchRows, Pattern, SearchMatches, Subst, Var};
 use std::fmt;
 use std::sync::Arc;
 
@@ -339,25 +339,16 @@ impl<L: Language, A: Analysis<L>> Rewrite<L, A> {
         self.searcher.except_candidate_ids(egraph, excluded)
     }
 
-    /// Run this rule's compiled matcher over an explicit candidate id
-    /// list (one search shard). See [`Pattern::search_ids_with_stats`].
-    pub fn search_ids_with_stats(
-        &self,
-        egraph: &EGraph<L, A>,
-        ids: &[Id],
-    ) -> (Vec<SearchMatches>, usize) {
-        self.searcher.search_ids_with_stats(egraph, ids)
-    }
-
-    /// Like [`Rewrite::search_ids_with_stats`], with an explicit
-    /// e-matching backend. See [`Pattern::search_ids_with_stats_mode`].
-    pub fn search_ids_with_stats_mode(
+    /// Run this rule's lhs over an explicit candidate id list on the
+    /// given backend, as flat rows — the saturation driver's search
+    /// funnel. See [`Pattern::search_rows`].
+    pub fn search_rows(
         &self,
         egraph: &EGraph<L, A>,
         ids: &[Id],
         mode: crate::relational::MatchingMode,
-    ) -> (Vec<SearchMatches>, usize) {
-        self.searcher.search_ids_with_stats_mode(egraph, ids, mode)
+    ) -> (MatchRows, usize) {
+        self.searcher.search_rows(egraph, ids, mode)
     }
 
     /// Full sweep on the relational (generic-join) backend.

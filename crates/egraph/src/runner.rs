@@ -15,7 +15,7 @@ use crate::analysis::Analysis;
 use crate::egraph::EGraph;
 use crate::hash::FxHashSet;
 use crate::language::{Id, Language, RecExpr};
-use crate::pattern::{SearchMatches, Subst};
+use crate::pattern::{MatchRows, Subst};
 use crate::relational::MatchingMode;
 use crate::rewrite::Rewrite;
 use rand::rngs::StdRng;
@@ -247,7 +247,7 @@ pub struct RuleIterStats {
     /// Classes the op-head index proposed for this rule's lhs (the
     /// classes actually visited by the compiled matcher).
     pub candidates: usize,
-    /// (class, subst) instances found.
+    /// Match rows (one per distinct (root class, binding)) found.
     pub matches: usize,
     /// Instances applied after scheduling (sampling may drop some).
     pub applied: usize,
@@ -690,33 +690,28 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
                 self.parallel,
                 self.matching,
             );
-            // Flatten each rule's matches to (class, subst) instances.
-            let mut per_rule: Vec<Vec<(Id, Subst)>> = Vec::with_capacity(rules.len());
+            // Each rule's matches stay flat rows; a `Subst` is only
+            // built for the rows the scheduler actually applies.
+            let mut per_rule: Vec<Option<MatchRows>> = Vec::with_capacity(rules.len());
             for ((rule, result), full) in rules.iter().zip(searched).zip(full_flags) {
-                let Some((matches, candidates)) = result else {
+                let Some((rows, candidates)) = result else {
                     iter.rules.push(RuleIterStats {
                         rule: rule.name.clone(),
                         muted: true,
                         ..RuleIterStats::default()
                     });
-                    per_rule.push(Vec::new());
+                    per_rule.push(None);
                     continue;
                 };
-                let mut instances = Vec::new();
-                for m in matches {
-                    for s in m.substs {
-                        instances.push((m.eclass, s));
-                    }
-                }
-                iter.matches_found += instances.len();
+                iter.matches_found += rows.len();
                 iter.rules.push(RuleIterStats {
                     rule: rule.name.clone(),
                     candidates,
-                    matches: instances.len(),
+                    matches: rows.len(),
                     delta: !full,
                     ..RuleIterStats::default()
                 });
-                per_rule.push(instances);
+                per_rule.push(Some(rows));
             }
             iter.search_time = t.elapsed();
             drop(search_span);
@@ -724,9 +719,14 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
             // --- scheduling + apply phase ----------------------------
             let apply_span = spores_telemetry::span!("saturation.apply");
             let t = Instant::now();
-            for (i, (rule, mut instances)) in rules.iter().zip(per_rule).enumerate() {
+            let mut subst = Subst::default();
+            for (i, (rule, rows)) in rules.iter().zip(per_rule).enumerate() {
+                let Some(rows) = rows else { continue };
                 let mut union_quota = usize::MAX;
-                let mut dropped: Vec<(Id, Subst)> = Vec::new();
+                // Row indices to apply, in application order: every row
+                // unless the scheduler samples.
+                let n_rows = u32::try_from(rows.len()).expect("fewer than 2^32 matches per rule");
+                let mut order: Vec<u32> = (0..n_rows).collect();
                 if let Scheduler::Sampling { match_limit, seed } = self.scheduler {
                     if this_verify && self.exact {
                         // Exact verification sweep: apply the *whole*
@@ -750,49 +750,52 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
                         // pipeline's application rate and no hot
                         // region can consume a pooled multiple.
                         let mut rng = rule_rng(seed, iter_ix as u64, &rule.name);
-                        dropped = match (&region_masks, per_region) {
-                            (Some(masks), true) => sample_per_region(
-                                &mut instances,
-                                masks,
-                                n_regions,
-                                match_limit,
-                                &mut rng,
-                            ),
+                        match (&region_masks, per_region) {
+                            (Some(masks), true) => {
+                                order = sample_per_region(
+                                    &rows,
+                                    masks,
+                                    n_regions,
+                                    match_limit,
+                                    &mut rng,
+                                );
+                            }
                             _ => {
                                 let limit = match_limit.saturating_mul(pooled_scale);
-                                sample_in_place(&mut instances, limit, &mut rng)
+                                sample_in_place(&mut order, limit, &mut rng);
                             }
-                        };
+                        }
                     }
                 }
+                let sampled_out = order.len() < rows.len();
                 let mut rule_unions = 0;
                 let mut applied = 0;
-                for (ix, (class, subst)) in instances.iter().enumerate() {
-                    rule_unions += rule.apply_match(&mut self.egraph, *class, subst);
+                for &r in &order {
+                    let r = r as usize;
+                    subst.refill(rule.searcher.row_vars(), rows.row(r));
+                    rule_unions += rule.apply_match(&mut self.egraph, rows.class(r), &subst);
                     applied += 1;
-                    iter.matches_applied += 1;
                     if rule_unions >= union_quota {
-                        // Quota hit: defer the rest of the pool to the
-                        // following delta iterations.
-                        for &(c, _) in &instances[ix + 1..] {
-                            self.egraph.mark_dirty(c);
-                        }
                         break;
                     }
                 }
-                // Sampled-out matches of a *productive* rule are
-                // pending, not gone: re-mark their root classes so the
-                // next delta sweep re-finds them (full re-search used to
-                // give every match a fresh chance each iteration). A
-                // rule whose whole sample applied without one union
-                // signals a stale pool — its drops decay instead of
-                // re-marking, so a converging run's dirt dies out rather
-                // than self-sustaining (the information lost is exactly
-                // what the pre-incremental sampled stall also lost).
-                if rule_unions > 0 {
-                    for (class, _) in dropped {
-                        self.egraph.mark_dirty(class);
-                    }
+                iter.matches_applied += applied;
+                // Unapplied rows re-mark their root classes (each class
+                // once) so a later delta sweep re-finds them:
+                // * quota-deferred rows (exact verification sweeps,
+                //   which never sample) always — the rest of the pool is
+                //   handed to the following delta iterations;
+                // * sampled-out rows only for a *productive* rule — they
+                //   are pending, not gone (full re-search used to give
+                //   every match a fresh chance each iteration). A rule
+                //   whose whole sample applied without one union signals
+                //   a stale pool: its drops decay instead of re-marking,
+                //   so a converging run's dirt dies out rather than
+                //   self-sustaining (the information lost is exactly what
+                //   the pre-incremental sampled stall also lost).
+                let deferred = applied < order.len();
+                if deferred || (sampled_out && rule_unions > 0) {
+                    mark_unapplied(&mut self.egraph, &rows, &order[..applied]);
                 }
                 iter.rules[i].applied = applied;
                 iter.rules[i].unions = rule_unions;
@@ -921,18 +924,19 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
 
 /// Phase 1 of the two-phase iteration: run every (rule ×
 /// candidate-shard) search task against the immutable `&EGraph` and
-/// merge the per-shard match buffers back into serial order.
+/// merge the per-shard row buffers back into serial order.
 ///
 /// `plan[i]` is rule `i`'s candidate id list in ascending order (`None`
 /// = muted, skipped). Returns, per rule, exactly what
-/// [`Rewrite::search_ids_with_stats`] over the unsharded list returns,
-/// at any thread count and under any shard structure:
+/// [`Rewrite::search_rows`] over the unsharded list returns, at any
+/// thread count and under any shard structure:
 ///
-/// * shards partition an ascending candidate list and each class's
-///   matches stay inside one shard, so re-sorting the concatenated
-///   shard buffers by root class restores the serial match order
-///   (per-class substitution order is computed within a shard and
-///   already canonical);
+/// * each shard is an ascending sub-list of the candidates and each
+///   class's rows stay inside one shard, so merging the shard buffers
+///   by root class ([`MatchRows::merge_by_class`]) restores the serial
+///   row order — also when region grouping makes shards interleave
+///   instead of covering contiguous id ranges (per-class row order is
+///   computed within a shard and already canonical);
 /// * visited counts sum over a partition, so per-rule candidate totals
 ///   are exact, not approximate;
 /// * nothing downstream is keyed by shard or thread — the sampling RNG
@@ -947,28 +951,30 @@ pub fn search_rules_parallel<L, A>(
     masks: Option<&crate::hash::FxHashMap<Id, u64>>,
     cfg: ParallelConfig,
     matching: MatchingMode,
-) -> Vec<Option<(Vec<SearchMatches>, usize)>>
+) -> Vec<Option<(MatchRows, usize)>>
 where
     L: Language + Sync,
     A: Analysis<L> + Sync,
     A::Data: Sync,
 {
     assert_eq!(rules.len(), plan.len());
+    // One traced search task: a whole rule (serial) or one shard.
+    let search_task = |rule: &Rewrite<L, A>, ids: &[Id]| {
+        let mut span = spores_telemetry::span!(
+            "saturation.search.shard",
+            rule = rule.name.as_str(),
+            candidates = ids.len(),
+        );
+        let result = rule.search_rows(egraph, ids, matching);
+        span.arg("matches", result.0.len());
+        result
+    };
     let threads = cfg.threads.max(1);
     if threads == 1 {
         return rules
             .iter()
             .zip(plan)
-            .map(|(rule, ids)| {
-                ids.as_ref().map(|ids| {
-                    let _span = spores_telemetry::span!(
-                        "saturation.search.shard",
-                        rule = rule.name.as_str(),
-                        candidates = ids.len(),
-                    );
-                    rule.search_ids_with_stats_mode(egraph, ids, matching)
-                })
-            })
+            .map(|(rule, ids)| ids.as_ref().map(|ids| search_task(rule, ids)))
             .collect();
     }
     // Materialize the (rule, shard) task list on this thread — the
@@ -987,29 +993,24 @@ where
     }
     let results = spores_pool::scoped_map(threads, tasks.len(), |t| {
         let (rule_ix, ids) = &tasks[t];
-        let _span = spores_telemetry::span!(
-            "saturation.search.shard",
-            rule = rules[*rule_ix].name.as_str(),
-            candidates = ids.len(),
-        );
-        rules[*rule_ix].search_ids_with_stats_mode(egraph, ids, matching)
+        search_task(&rules[*rule_ix], ids)
     });
     let mut results = results.into_iter();
     let mut out = Vec::with_capacity(plan.len());
-    for (ids, range) in plan.iter().zip(shards_of) {
+    for ((rule, ids), range) in rules.iter().zip(plan).zip(shards_of) {
         if ids.is_none() {
             out.push(None);
             continue;
         }
-        let mut matches: Vec<SearchMatches> = Vec::new();
+        let mut parts: Vec<MatchRows> = Vec::with_capacity(range.len());
         let mut visited = 0usize;
         for _ in range {
-            let (m, v) = results.next().expect("one result per task");
-            matches.extend(m);
+            let (rows, v) = results.next().expect("one result per task");
+            parts.push(rows);
             visited += v;
         }
-        matches.sort_unstable_by_key(|m| m.eclass);
-        out.push(Some((matches, visited)));
+        let width = rule.searcher.row_vars().len();
+        out.push(Some((MatchRows::merge_by_class(width, parts), visited)));
     }
     out
 }
@@ -1021,9 +1022,10 @@ where
 /// [`sample_per_region`] buckets matches by — so a shard's classes
 /// mostly belong to one statement region and traverse that statement's
 /// slice of the graph. Single-root runs (no masks) just chunk the
-/// ascending candidate list. Either way shards partition the input and
-/// the caller re-sorts merged matches, so shard structure never leaks
-/// into results; the grouping only exists for locality.
+/// ascending candidate list. Either way shards partition the input,
+/// each shard lists its ids in ascending order, and the caller merges
+/// shard rows by class, so shard structure never leaks into results;
+/// the grouping only exists for locality.
 fn shard_candidates(
     ids: &[Id],
     masks: Option<&crate::hash::FxHashMap<Id, u64>>,
@@ -1045,8 +1047,18 @@ fn shard_candidates(
     }
     // About two tasks per thread so work stealing can balance uneven
     // shard costs, but never shards smaller than the configured floor.
+    // A chunk can straddle two region buckets, so each shard is sorted
+    // back to ascending ids: the by-class merge needs every shard's
+    // rows in ascending class order.
     let target = min_shard.max(ordered.len().div_ceil(threads * 2));
-    ordered.chunks(target).map(|c| c.to_vec()).collect()
+    ordered
+        .chunks(target)
+        .map(|c| {
+            let mut shard = c.to_vec();
+            shard.sort_unstable();
+            shard
+        })
+        .collect()
 }
 
 /// Deterministic RNG stream for one rule in one iteration: a hash of the
@@ -1061,10 +1073,11 @@ fn rule_rng(seed: u64, iteration: u64, name: &str) -> StdRng {
     StdRng::seed_from_u64(h.finish())
 }
 
-/// Per-region sampling: bucket instances by the lowest-numbered region
-/// of their root class (classes reachable from no root share one extra
+/// Per-region sampling: bucket rows by the lowest-numbered region of
+/// their root class (classes reachable from no root share one extra
 /// bucket), keep a uniform sample of `limit` per bucket, and return the
-/// dropped remainder.
+/// kept row indices in application order (bucket by bucket). Rows of a
+/// class are contiguous, so each class's mask is looked up once.
 ///
 /// The bucketing is a *fairness partition*, deliberately independent of
 /// freeze state: a shared class keeps its anchor bucket even when that
@@ -1073,46 +1086,70 @@ fn rule_rng(seed: u64, iteration: u64, name: &str) -> StdRng {
 /// the lowest *active* region was tried and measurably starves the
 /// remaining hot statements' own buckets on ALS). A frozen region still
 /// loses the budget of its *exclusive* classes — they are excluded from
-/// every candidate set, so no instances land in any bucket for them.
+/// every candidate set, so no rows land in any bucket for them.
 /// The freeze accounting in `run` charges dirt to the lowest *active*
 /// region instead, because convergence must never be attributed to a
 /// region that is no longer searched.
 fn sample_per_region(
-    instances: &mut Vec<(Id, Subst)>,
+    rows: &MatchRows,
     masks: &crate::hash::FxHashMap<Id, u64>,
     n_regions: usize,
     limit: usize,
     rng: &mut StdRng,
-) -> Vec<(Id, Subst)> {
-    let mut buckets: Vec<Vec<(Id, Subst)>> = vec![Vec::new(); n_regions + 1];
-    for inst in instances.drain(..) {
-        let mask = masks.get(&inst.0).copied().unwrap_or(0);
+) -> Vec<u32> {
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_regions + 1];
+    for (class, range) in rows.runs() {
+        let mask = masks.get(&class).copied().unwrap_or(0);
         let b = if mask == 0 {
             n_regions
         } else {
             mask.trailing_zeros() as usize
         };
-        buckets[b].push(inst);
+        buckets[b].extend(range.start as u32..range.end as u32);
     }
-    let mut dropped = Vec::new();
+    let mut kept = Vec::new();
     for mut bucket in buckets {
-        dropped.extend(sample_in_place(&mut bucket, limit, rng));
-        instances.extend(bucket);
+        sample_in_place(&mut bucket, limit, rng);
+        kept.extend(bucket);
     }
-    dropped
+    kept
 }
 
 /// Keep a uniform sample of `limit` elements of `v` (partial
-/// Fisher-Yates), returning the dropped remainder.
-fn sample_in_place<T>(v: &mut Vec<T>, limit: usize, rng: &mut StdRng) -> Vec<T> {
+/// Fisher-Yates), in draw order. Draws nothing when `v` already fits.
+fn sample_in_place<T>(v: &mut Vec<T>, limit: usize, rng: &mut StdRng) {
     if v.len() <= limit {
-        return Vec::new();
+        return;
     }
     for i in 0..limit {
         let j = rng.random_range(i..v.len());
         v.swap(i, j);
     }
-    v.split_off(limit)
+    v.truncate(limit);
+}
+
+/// Mark dirty, once each, the root classes of every row not in
+/// `applied` (row indices, any order). Compares per-class row counts
+/// with per-class applied counts, so the cost is one pass over the
+/// class runs plus a sort of the (small) applied set — never a hash
+/// insert per unapplied row.
+fn mark_unapplied<L: Language, A: Analysis<L>>(
+    egraph: &mut EGraph<L, A>,
+    rows: &MatchRows,
+    applied: &[u32],
+) {
+    let mut applied = applied.to_vec();
+    applied.sort_unstable();
+    let mut k = 0;
+    for (class, range) in rows.runs() {
+        let first = k;
+        while k < applied.len() && (applied[k] as usize) < range.end {
+            k += 1;
+        }
+        if k - first < range.len() {
+            egraph.mark_dirty(class);
+        }
+    }
 }
 
 #[cfg(test)]

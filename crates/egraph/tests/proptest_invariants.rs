@@ -107,12 +107,17 @@ fn build_graph(script: &[Step], unions: &[(usize, usize)]) -> EGraph<Node, ()> {
 }
 
 /// Patterns exercising every machine feature: variable roots, repeated
-/// (non-linear) variables, nesting, and literal leaves.
+/// (non-linear) variables — `(+ ?x ?x)` is this language's `(* ?x ?x)`,
+/// a `Compare` right under the root — nesting, literal leaves, and
+/// ground (zero-variable) patterns, whose rows have width 0.
 fn differential_patterns() -> Vec<Pattern<Node>> {
     [
         "?a",
         "(+ ?a ?b)",
         "(+ ?a ?a)",
+        "(+ ?x ?x)",
+        "(neg (+ ?x (neg ?x)))",
+        "(+ ?b (neg ?a))",
         "(neg ?a)",
         "(neg (neg ?a))",
         "(+ (neg ?a) ?b)",
@@ -121,6 +126,9 @@ fn differential_patterns() -> Vec<Pattern<Node>> {
         "(+ 1 ?x)",
         "(neg 3)",
         "2",
+        "(+ 0 0)",
+        "(+ (neg 1) (+ 0 ?a))",
+        "(+ (neg 1) (+ 0 2))",
     ]
     .iter()
     .map(|s| s.parse().unwrap())
@@ -193,6 +201,11 @@ proptest! {
             for (i, n) in indexed.iter().zip(&naive) {
                 prop_assert_eq!(i.eclass, n.eclass, "pattern {}", &p);
                 prop_assert_eq!(&i.substs, &n.substs, "pattern {}", &p);
+                if p.row_vars().is_empty() {
+                    // a ground match is the class itself: one empty row
+                    prop_assert_eq!(i.substs.len(), 1, "pattern {}", &p);
+                    prop_assert_eq!(i.substs[0].iter().count(), 0, "pattern {}", &p);
+                }
             }
             prop_assert!(
                 candidates <= eg.number_of_classes(),

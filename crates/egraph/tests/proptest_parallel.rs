@@ -11,12 +11,15 @@
 //!
 //! `Pattern::naive_search` stays the ground-truth oracle for *what* the
 //! search finds; the serial (1-thread, structural) path is the oracle
-//! for *order*.
+//! for *order*. Region-grouped shards interleave instead of covering
+//! contiguous id ranges, so the multi-root runs here exercise the
+//! by-class merge of per-shard row buffers end to end.
 
 use proptest::prelude::*;
 use spores_egraph::{
     search_rules_parallel, AstSize, EGraph, Extractor, FxHashMap, FxHashSet, Id, Language,
-    MatchingMode, ParallelConfig, RecExpr, Rewrite, Runner, Scheduler, SearchMatches, Subst, Var,
+    MatchingMode, ParallelConfig, RecExpr, RegionConfig, Rewrite, Runner, Scheduler, SearchMatches,
+    Var,
 };
 use std::collections::HashSet;
 use std::time::Duration;
@@ -122,6 +125,8 @@ fn rules() -> Vec<Rewrite<Node, ()>> {
         Rewrite::new("assoc-add", "(+ (+ ?a ?b) ?c)", "(+ ?a (+ ?b ?c))").unwrap(),
         Rewrite::new("neg-neg", "(neg (neg ?a))", "?a").unwrap(),
         Rewrite::new("add-self-neg", "(+ ?a ?a)", "(neg (neg (+ ?a ?a)))").unwrap(),
+        // ground (zero-variable) lhs: rows of width 0, at most one per class
+        Rewrite::new("ground-zero", "(+ 0 0)", "(neg (neg 0))").unwrap(),
     ]
 }
 
@@ -160,14 +165,6 @@ fn build_expr(script: &[Step]) -> RecExpr<Node> {
         ids.push(id);
     }
     expr
-}
-
-/// Exact comparable form: matches *in order*, substs *in order*.
-fn exact(matches: &[SearchMatches]) -> Vec<(Id, Vec<Subst>)> {
-    matches
-        .iter()
-        .map(|m| (m.eclass, m.substs.clone()))
-        .collect()
 }
 
 /// Order-insensitive comparable form (for the naive oracle).
@@ -258,14 +255,21 @@ proptest! {
                 &eg, &rules, &plan, None, ParallelConfig::serial(), MatchingMode::Structural,
             );
             for (rule, row) in rules.iter().zip(&serial) {
-                if let Some((matches, _)) = row {
+                if let Some((rows, _)) = row {
                     // full-plan rows must agree with the naive oracle
                     let naive = match_set(&rule.searcher.naive_search(&eg));
-                    let got = match_set(matches);
+                    let got = match_set(&rule.searcher.matches_from_rows(rows));
                     prop_assert!(
                         got.is_subset(&naive),
                         "{}: parallel search found a non-match", rule.name
                     );
+                    prop_assert_eq!(rows.width(), rule.searcher.row_vars().len());
+                    if rows.width() == 0 {
+                        prop_assert!(
+                            rows.runs().all(|(_, r)| r.len() == 1),
+                            "{}: ground rows not deduplicated per class", rule.name
+                        );
+                    }
                 }
             }
             // Every (thread count, backend) combination — including the
@@ -291,7 +295,7 @@ proptest! {
                                         rule.name, threads, mode
                                     );
                                     prop_assert_eq!(
-                                        exact(sm), exact(gm),
+                                        sm, gm,
                                         "{}: match stream diverged at {} threads ({:?}, masks={})",
                                         rule.name, threads, mode, masks.is_some()
                                     );
@@ -390,6 +394,84 @@ proptest! {
             prop_assert_eq!(
                 &term, &base_term,
                 "extracted term diverged at {} threads ({:?})", threads, mode
+            );
+        }
+    }
+
+    // Workload mode at the runner level: several roots with region
+    // tracking, so every shard list is grouped by anchor region
+    // (non-contiguous id ranges) and the per-rule row buffers go
+    // through the by-class merge each iteration. Replayed at 2 and 8
+    // threads and on the relational backend, the run must reproduce
+    // the 1-thread structural run exactly — per-rule stats, frozen
+    // regions, stop reason, and every root's extracted term.
+    #[test]
+    fn region_grouped_runner_is_deterministic_across_thread_counts(
+        scripts in prop::collection::vec(steps(), 2..4),
+        match_limit in 1usize..10,
+    ) {
+        let exprs: Vec<RecExpr<Node>> = scripts.iter().map(|s| build_expr(s)).collect();
+        let rules = rules();
+        let run_at = |threads: usize, mode: MatchingMode| {
+            let mut runner = Runner::new(());
+            for e in &exprs {
+                runner = runner.with_expr(e);
+            }
+            runner
+                .with_scheduler(Scheduler::Sampling {
+                    match_limit,
+                    seed: 0xC0FFEE,
+                })
+                .with_regions(RegionConfig::default())
+                .with_iter_limit(8)
+                .with_node_limit(2_000)
+                .with_time_limit(Duration::from_secs(3600))
+                .with_parallel(ParallelConfig {
+                    threads,
+                    min_shard_size: 1,
+                })
+                .with_matching(mode)
+                .run(&rules)
+        };
+        let terms = |r: &Runner<Node, ()>| -> Vec<RecExpr<Node>> {
+            let ext = Extractor::new(&r.egraph, AstSize);
+            r.roots
+                .iter()
+                .map(|&root| ext.find_best(root).expect("root extractable").1)
+                .collect()
+        };
+
+        let baseline = run_at(1, MatchingMode::Structural);
+        let base_terms = terms(&baseline);
+        for (threads, mode) in [
+            (2usize, MatchingMode::Structural),
+            (8, MatchingMode::Structural),
+            (2, MatchingMode::Relational),
+            (8, MatchingMode::Relational),
+        ] {
+            let got = run_at(threads, mode);
+            prop_assert_eq!(
+                &got.stop_reason, &baseline.stop_reason,
+                "stop reason diverged at {} threads ({:?})", threads, mode
+            );
+            prop_assert_eq!(got.iterations.len(), baseline.iterations.len());
+            for (it, (g, b)) in got.iterations.iter().zip(&baseline.iterations).enumerate() {
+                prop_assert_eq!(&g.frozen_regions, &b.frozen_regions, "iter {}", it);
+                prop_assert_eq!(g.matches_found, b.matches_found, "iter {}", it);
+                prop_assert_eq!(g.matches_applied, b.matches_applied, "iter {}", it);
+                prop_assert_eq!(g.unions, b.unions, "iter {}", it);
+                prop_assert_eq!(g.egraph_nodes, b.egraph_nodes, "iter {}", it);
+                for (gr, br) in g.rules.iter().zip(&b.rules) {
+                    prop_assert_eq!(
+                        (gr.candidates, gr.matches, gr.applied, gr.unions, gr.muted, gr.delta),
+                        (br.candidates, br.matches, br.applied, br.unions, br.muted, br.delta),
+                        "iter {} rule {} at {} threads ({:?})", it, &gr.rule, threads, mode
+                    );
+                }
+            }
+            prop_assert_eq!(
+                terms(&got), base_terms.clone(),
+                "extracted terms diverged at {} threads ({:?})", threads, mode
             );
         }
     }

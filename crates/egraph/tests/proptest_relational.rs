@@ -142,6 +142,13 @@ fn patterns() -> Vec<Pattern<Node>> {
         "(+ 1 ?x)",
         "(+ (+ 0 ?a) ?b)",
         "2",
+        // non-linear right under the root (this language's `(* ?x ?x)`)
+        "(+ ?x ?x)",
+        // row columns (sorted variables) differ from first-occurrence order
+        "(+ (neg ?b) (+ ?c ?a))",
+        // ground, several atoms deep: rows of width 0
+        "(+ (neg 1) (+ 0 2))",
+        "(+ 0 0)",
     ]
     .iter()
     .map(|s| s.parse().unwrap())

@@ -52,4 +52,21 @@ fn als_workload_trace_has_one_phase_span_set_per_iteration() {
         opt.saturation.matches_found,
         "per-rule match counters sum to SaturationStats.matches_found"
     );
+
+    // Every search task's span carries its match count, so the trace
+    // alone accounts for every match, without the registry.
+    let shard_matches: u64 = events
+        .iter()
+        .filter(|e| e.name == "saturation.search.shard" && e.kind == telemetry::EventKind::End)
+        .flat_map(|e| &e.args)
+        .filter(|(key, _)| *key == "matches")
+        .map(|(_, v)| match v {
+            telemetry::ArgValue::UInt(n) => *n,
+            other => panic!("shard matches arg is not a count: {other:?}"),
+        })
+        .sum();
+    assert_eq!(
+        shard_matches as usize, opt.saturation.matches_found,
+        "shard span match args sum to SaturationStats.matches_found"
+    );
 }
